@@ -11,18 +11,16 @@
 // Each figure's run matrix fans out over the internal/par worker pool
 // (width MEMNET_PAR, default: CPU count), so a -bench=. sweep uses every
 // core; reported simulation metrics are identical at any parallelism.
-// BenchmarkSweep* measure the harness itself: the same figure sequential
-// vs fanned out, so the wall-clock win of the pool is visible in ns/op.
+// The harness itself (the same sweep sequential vs fanned out) is measured
+// by internal/bench's SweepSequential/SweepParallel, run via cmd/bench.
 package memnet_test
 
 import (
-	"runtime"
 	"testing"
 
 	"memnet"
 	"memnet/internal/core"
 	"memnet/internal/exp"
-	"memnet/internal/par"
 )
 
 // benchScale keeps every figure's bench affordable in one -bench=. sweep.
@@ -34,7 +32,7 @@ const benchScale = 0.1
 // the memory network.
 func BenchmarkFig07(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig7(benchScale * 2)
+		r, err := exp.Fig7(benchScale*2, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +46,7 @@ func BenchmarkFig07(b *testing.B) {
 // imbalanced (paper: up to 11.7x per-HMC variance for CG.S).
 func BenchmarkFig10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rs, err := exp.Fig10(benchScale)
+		rs, err := exp.Fig10(benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +81,7 @@ func BenchmarkFig12(b *testing.B) {
 // over PCIe; CMN 1.8x / CMN-ZC 2.2x total; UMN 8.5x total.
 func BenchmarkFig14(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := exp.Fig14(benchScale, nil)
+		r, err := exp.Fig14(benchScale, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +98,7 @@ func BenchmarkFig14(b *testing.B) {
 // for uniform workloads, 9.5% for CG.S on dFBFLY.
 func BenchmarkFig15(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig15(benchScale)
+		rows, err := exp.Fig15(benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +120,7 @@ var fig16Workloads = []string{"BP", "KMN", "BFS", "FWT"}
 // sMESH-2x/sTORUS-2x with fewer channels.
 func BenchmarkFig16(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig16(benchScale, fig16Workloads)
+		rows, err := exp.Fig16(benchScale, fig16Workloads, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +135,7 @@ func BenchmarkFig16(b *testing.B) {
 // 20.3% average vs sMESH in the paper.
 func BenchmarkFig17(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig16(benchScale, fig16Workloads)
+		rows, err := exp.Fig16(benchScale, fig16Workloads, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -151,7 +149,7 @@ func BenchmarkFig17(b *testing.B) {
 // overlay < sFBFLY < sMESH host time for CG.S and FT.S.
 func BenchmarkFig18(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.Fig18(benchScale)
+		rows, err := exp.Fig18(benchScale, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +172,7 @@ func BenchmarkFig18(b *testing.B) {
 // 13.5x at 16 GPUs, CP near-ideal, FWT lowest.
 func BenchmarkFig19(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, gm, err := exp.Fig19(benchScale*8, []int{1, 2, 4, 8})
+		rows, gm, err := exp.Fig19(benchScale*8, []int{1, 2, 4, 8}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +197,7 @@ func BenchmarkFig19(b *testing.B) {
 // +20% L2 hit rate) and CTA stealing (paper: <1%).
 func BenchmarkCTASched(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := exp.CTASched(benchScale, []string{"SRAD", "BP"})
+		rows, err := exp.CTASched(benchScale, []string{"SRAD", "BP"}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -221,29 +219,6 @@ func BenchmarkCTASched(b *testing.B) {
 		b.ReportMetric(rrT/stT, "static-vs-rr-x")
 		b.ReportMetric(100*(stL2-rrL2)/n, "L2-hit-delta-pp")
 		b.ReportMetric(stT/stealT, "steal-vs-static-x")
-	}
-}
-
-// BenchmarkSweepSequential runs the Fig. 15 routing study with the worker
-// pool pinned to one worker — the seed repository's behavior.
-func BenchmarkSweepSequential(b *testing.B) {
-	benchSweep(b, 1)
-}
-
-// BenchmarkSweepParallel runs the same study fanned out across the CPUs;
-// the ns/op ratio to BenchmarkSweepSequential is the pool's wall-clock
-// speedup on this machine.
-func BenchmarkSweepParallel(b *testing.B) {
-	benchSweep(b, runtime.NumCPU())
-}
-
-func benchSweep(b *testing.B, width int) {
-	prev := par.SetParallelism(width)
-	defer par.SetParallelism(prev)
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig15(benchScale); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

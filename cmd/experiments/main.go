@@ -63,38 +63,51 @@ func main() {
 	faultsFile := flag.String("faults", "", "JSON fault-injection schedule applied to every run (see internal/fault)")
 	degLinks := flag.Int("deg-links", 4, "max failed link pairs for the degradation sweep")
 	flag.Parse()
-	core.SetAuditDefault(*auditFlag)
-	core.SetPacketPoolDefault(!*nopool)
+	var faults *fault.Schedule
 	if *faultsFile != "" {
-		sched, err := fault.LoadFile(*faultsFile)
+		var err error
+		faults, err = fault.LoadFile(*faultsFile)
 		if err != nil {
 			fatal(err)
 		}
-		core.SetFaultDefault(sched)
 	}
-	if *traceDir != "" || *metricsDir != "" {
-		var epoch memnet.Time
-		if *metricsEpoch != "" {
-			var err error
-			epoch, err = obs.ParseDuration(*metricsEpoch)
-			if err != nil {
+	var epoch memnet.Time
+	if *metricsEpoch != "" {
+		var err error
+		epoch, err = obs.ParseDuration(*metricsEpoch)
+		if err != nil {
+			fatal(err)
+		}
+	}
+	for _, dir := range []string{*traceDir, *metricsDir, *profileDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
 				fatal(err)
 			}
 		}
-		for _, dir := range []string{*traceDir, *metricsDir} {
-			if dir != "" {
-				if err := os.MkdirAll(dir, 0o755); err != nil {
-					fatal(err)
-				}
+	}
+	// configure applies the run-level flags to every run of experiment
+	// name. Prefixing the run id with the experiment keeps the per-run
+	// files of a multi-experiment sweep apart.
+	configure := func(name string) exp.Configure {
+		return func(cfg *core.Config, run string) {
+			run = name + "-" + run
+			if *auditFlag {
+				cfg.Audit = core.AuditOn
+			}
+			cfg.Net.NoPacketPool = *nopool
+			cfg.Faults = faults
+			if *traceDir != "" {
+				cfg.TraceOut = filepath.Join(*traceDir, run+".trace.json")
+			}
+			if *metricsDir != "" {
+				cfg.MetricsOut = filepath.Join(*metricsDir, run+".metrics.csv")
+			}
+			cfg.MetricsEpoch = epoch
+			if *profileDir != "" {
+				cfg.ProfileOut = filepath.Join(*profileDir, run+".profile.json")
 			}
 		}
-		core.SetObsDefault(*traceDir, *metricsDir, epoch)
-	}
-	if *profileDir != "" {
-		if err := os.MkdirAll(*profileDir, 0o755); err != nil {
-			fatal(err)
-		}
-		core.SetProfDefault(*profileDir)
 	}
 
 	// Fail fast on an invalid explicit -par instead of silently falling
@@ -166,7 +179,9 @@ func main() {
 		}
 		start := time.Now()
 		busy := par.BusyTime()
-		out, err := e.Run(params)
+		p := params
+		p.Configure = configure(e.Name)
+		out, err := e.Run(p)
 		if err != nil {
 			fatal(err)
 		}

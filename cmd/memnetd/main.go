@@ -58,6 +58,7 @@ import (
 	"time"
 
 	"memnet/internal/core"
+	"memnet/internal/exp"
 	"memnet/internal/par"
 	"memnet/internal/serve"
 	"memnet/internal/telemetry"
@@ -93,10 +94,19 @@ func main() {
 	if *queueCap <= 0 {
 		fatal("-queue-cap must be positive", "got", *queueCap)
 	}
-	core.SetAuditDefault(*auditFlag)
+	runner := serve.RegistryRunner
+	if *auditFlag {
+		runner = func(spec *serve.JobSpec, configure exp.Configure) (string, error) {
+			return serve.RegistryRunner(spec, func(cfg *core.Config, run string) {
+				cfg.Audit = core.AuditOn
+				configure(cfg, run)
+			})
+		}
+	}
 
 	reg := telemetry.NewRegistry()
 	srv, err := serve.New(serve.Config{
+		Runner:        runner,
 		QueueCap:      *queueCap,
 		CacheDir:      *cacheDir,
 		NoJournal:     !*journalFlag,

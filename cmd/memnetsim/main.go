@@ -58,8 +58,6 @@ func main() {
 	faultPCIe := flag.Int("fault-pcie", 0, "generate N PCIe transfer-timeout bursts")
 	watchdog := flag.String("watchdog", "", "phase forward-progress window, e.g. 10ms; 'off' disables (default 5ms)")
 	flag.Parse()
-	core.SetAuditDefault(*auditFlag)
-	core.SetPacketPoolDefault(!*nopool)
 
 	a, err := memnet.ParseArch(*arch)
 	check(err)
@@ -116,6 +114,10 @@ func main() {
 		check(err)
 	}
 	cfg.DumpStateOnDeadlock = *dumpOnDeadlock
+	if *auditFlag {
+		cfg.Audit = core.AuditOn
+	}
+	cfg.Net.NoPacketPool = *nopool
 	cfg.NumGPUs = *gpus
 	cfg.Topo = tk
 	cfg.TopoMultiplier = *mult

@@ -7,9 +7,7 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
-	"sync"
-	"sync/atomic"
+	"testing"
 
 	"memnet/internal/cpu"
 	"memnet/internal/fault"
@@ -98,24 +96,13 @@ type AuditMode int
 
 // Audit modes.
 const (
-	// AuditDefault follows the process-wide default: on under `go test`
-	// (tests leave it untouched), off in the CLIs unless -audit is given.
+	// AuditDefault audits under `go test` and not otherwise: every
+	// test-built system self-checks, while the CLIs audit only when their
+	// -audit flag sets AuditOn.
 	AuditDefault AuditMode = iota
 	AuditOn
 	AuditOff
 )
-
-// auditDefault is the process-wide audit default for AuditDefault configs.
-// It starts true so every test-built system self-checks; the CLIs override
-// it from their -audit flag. Atomic because experiment sweeps build systems
-// from many goroutines.
-var auditDefault atomic.Bool
-
-func init() { auditDefault.Store(true) }
-
-// SetAuditDefault sets the process-wide default used by AuditDefault
-// configs.
-func SetAuditDefault(on bool) { auditDefault.Store(on) }
 
 func (c *Config) auditEnabled() bool {
 	switch c.Audit {
@@ -124,181 +111,7 @@ func (c *Config) auditEnabled() bool {
 	case AuditOff:
 		return false
 	}
-	return auditDefault.Load()
-}
-
-// packetPoolDefault is the process-wide packet-pooling default. Pooling is
-// on unless a CLI's -nopool flag turns it off; the switch exists so CI can
-// verify that pooled and unpooled runs produce byte-identical results.
-// Atomic because experiment sweeps build systems from many goroutines.
-var packetPoolDefault atomic.Bool
-
-func init() { packetPoolDefault.Store(true) }
-
-// SetPacketPoolDefault sets the process-wide packet-pooling default used
-// by configs that leave Net.NoPacketPool false.
-func SetPacketPoolDefault(on bool) { packetPoolDefault.Store(on) }
-
-// obsDefault holds process-wide trace/metrics output directories applied
-// to configs that name no output files of their own. Experiment sweeps
-// build their configs internally, so the CLIs route their -trace/-metrics
-// directory flags through here. Mutex-guarded because sweeps build
-// systems from many goroutines; seq uniquifies concurrent runs' files.
-var obsDefault struct {
-	sync.Mutex
-	traceDir   string
-	metricsDir string
-	epoch      sim.Time
-	seq        int
-}
-
-// SetObsDefault routes every run whose Config leaves TraceOut and
-// MetricsOut empty into per-run files under the given directories (empty
-// string disables either output). Files are named
-// "<seq>-<workload>-<arch>.trace.json" / ".metrics.csv"; under a parallel
-// sweep the sequence numbers depend on scheduling order, but each file's
-// contents are deterministic.
-func SetObsDefault(traceDir, metricsDir string, epoch sim.Time) {
-	obsDefault.Lock()
-	defer obsDefault.Unlock()
-	obsDefault.traceDir = traceDir
-	obsDefault.metricsDir = metricsDir
-	obsDefault.epoch = epoch
-}
-
-// resolveObs applies the process-wide obs default to a config that names
-// no outputs; NewSystem calls it once the workload is known.
-func (c *Config) resolveObs(workloadAbbr string) {
-	if c.TraceOut != "" || c.MetricsOut != "" {
-		return
-	}
-	obsDefault.Lock()
-	defer obsDefault.Unlock()
-	if obsDefault.traceDir == "" && obsDefault.metricsDir == "" {
-		return
-	}
-	obsDefault.seq++
-	base := fmt.Sprintf("%03d-%s-%s", obsDefault.seq, workloadAbbr, c.Arch)
-	if obsDefault.traceDir != "" {
-		c.TraceOut = filepath.Join(obsDefault.traceDir, base+".trace.json")
-	}
-	if obsDefault.metricsDir != "" {
-		c.MetricsOut = filepath.Join(obsDefault.metricsDir, base+".metrics.csv")
-	}
-	if c.MetricsEpoch <= 0 {
-		c.MetricsEpoch = obsDefault.epoch
-	}
-}
-
-// profDefault holds a process-wide profile output directory applied to
-// configs that request no profiling of their own. Experiment sweeps build
-// their configs internally, so the CLIs route their -profile directory
-// flag through here. Mutex-guarded because sweeps build systems from many
-// goroutines; seq uniquifies concurrent runs' files.
-var profDefault struct {
-	sync.Mutex
-	dir string
-	seq int
-}
-
-// SetProfDefault routes every run whose Config sets neither Profile nor
-// ProfileOut into a per-run profile file under dir (empty string
-// disables). Files are named "<seq>-<workload>-<arch>.profile.json";
-// under a parallel sweep the sequence numbers depend on scheduling order,
-// but each file's contents are deterministic.
-func SetProfDefault(dir string) {
-	profDefault.Lock()
-	defer profDefault.Unlock()
-	profDefault.dir = dir
-}
-
-// resolveProf applies the process-wide profile default to a config that
-// requests no profiling; NewSystem calls it once the workload is known.
-func (c *Config) resolveProf(workloadAbbr string) {
-	if c.Profile || c.ProfileOut != "" {
-		return
-	}
-	profDefault.Lock()
-	defer profDefault.Unlock()
-	if profDefault.dir == "" {
-		return
-	}
-	profDefault.seq++
-	base := fmt.Sprintf("%03d-%s-%s", profDefault.seq, workloadAbbr, c.Arch)
-	c.ProfileOut = filepath.Join(profDefault.dir, base+".profile.json")
-}
-
-// progressDefault is a process-wide progress sink applied to configs whose
-// Progress field is nil (experiment sweeps build their configs internally,
-// so serving layers route their per-job sink through here). Atomic because
-// sweeps build systems from many goroutines.
-var progressDefault atomic.Pointer[obs.ProgressFunc]
-
-// SetProgressDefault installs the process-wide progress sink used by
-// configs that leave Progress nil; nil clears it. Like the obs and fault
-// defaults it is process-global, so a serving layer that runs jobs one at
-// a time installs the current job's sink before the run and clears it
-// after.
-func SetProgressDefault(fn obs.ProgressFunc) {
-	if fn == nil {
-		progressDefault.Store(nil)
-		return
-	}
-	progressDefault.Store(&fn)
-}
-
-// progressFunc resolves the sink for this config: explicit first, then the
-// process-wide default.
-func (c *Config) progressFunc() obs.ProgressFunc {
-	if c.Progress != nil {
-		return c.Progress
-	}
-	if p := progressDefault.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// stopDefault is a process-wide cooperative stop signal applied to configs
-// whose Stop field is nil (experiment sweeps build their configs
-// internally, so serving layers route their per-job canceller through
-// here). Atomic because sweeps build systems from many goroutines.
-var stopDefault atomic.Pointer[sim.Stop]
-
-// SetStopDefault installs the process-wide stop signal used by configs
-// that leave Stop nil; nil clears it. Like the fault and progress defaults
-// it is process-global, so a serving layer that runs jobs one at a time
-// installs the current job's canceller before the run and clears it after.
-// Tripping the signal tears down every run that resolved it: each phase
-// loop observes the latch between events and unwinds with ErrStopped.
-func SetStopDefault(s *sim.Stop) { stopDefault.Store(s) }
-
-// stopSignal resolves the stop signal for this config: explicit first,
-// then the process-wide default. May be nil (never stopped).
-func (c *Config) stopSignal() *sim.Stop {
-	if c.Stop != nil {
-		return c.Stop
-	}
-	return stopDefault.Load()
-}
-
-// faultDefault is a process-wide fault schedule applied to configs whose
-// Faults field is nil (experiment sweeps build their configs internally,
-// so the CLIs route their -faults flag through here). Atomic because
-// sweeps build systems from many goroutines.
-var faultDefault atomic.Pointer[fault.Schedule]
-
-// SetFaultDefault installs the process-wide fault schedule used by configs
-// that set neither Faults nor FaultRates; nil clears it.
-func SetFaultDefault(s *fault.Schedule) { faultDefault.Store(s) }
-
-// faultSchedule resolves the schedule for this config: explicit first,
-// then the process-wide default.
-func (c *Config) faultSchedule() *fault.Schedule {
-	if c.Faults != nil {
-		return c.Faults
-	}
-	return faultDefault.Load()
+	return testing.Testing()
 }
 
 // Config describes one simulated system and run.
@@ -307,8 +120,8 @@ type Config struct {
 	Workload string
 	Scale    float64
 
-	// Audit attaches the invariant self-audit layer (AuditDefault follows
-	// the process-wide default set by SetAuditDefault).
+	// Audit attaches the invariant self-audit layer (AuditDefault: on
+	// under `go test` only).
 	Audit AuditMode
 
 	// TraceOut, when non-empty, records a simulated-time timeline of the
@@ -341,8 +154,7 @@ type Config struct {
 	// Progress, when non-nil, receives coarse progress events (run and
 	// phase boundaries; see obs.ProgressEvent). Like tracing it is
 	// passive — events fire between engine events, so results are
-	// byte-identical with a sink attached or not. Nil falls back to the
-	// process-wide default (SetProgressDefault).
+	// byte-identical with a sink attached or not.
 	Progress obs.ProgressFunc
 
 	// Stop, when non-nil, is a cooperative cancellation latch: the phase
@@ -350,17 +162,15 @@ type Config struct {
 	// ErrStopped once it trips (a cancel API, a deadline timer). Strictly
 	// passive while untripped — the poll is one atomic load, schedules no
 	// events, and results are byte-identical with a latch attached or not.
-	// Nil falls back to the process-wide default (SetStopDefault).
 	Stop *sim.Stop
 
 	// Faults is an explicit fault-injection schedule; nil falls back to
-	// the process-wide default (SetFaultDefault) and then to FaultRates.
+	// FaultRates.
 	// An empty schedule injects nothing and leaves the run byte-identical
 	// to a fault-free one.
 	Faults *fault.Schedule
 	// FaultRates, when active, generates a seeded schedule against the
-	// built system's shape (used when Faults is nil and no process-wide
-	// default is set).
+	// built system's shape (used when Faults is nil).
 	FaultRates fault.Rates
 	// Watchdog is the phase forward-progress window: a phase whose
 	// activity counters stop advancing for this long while events keep

@@ -21,12 +21,12 @@ func (s *System) faultShape() fault.Shape {
 	return sh
 }
 
-// scheduleFaults resolves the configured fault schedule — explicit,
-// process-wide default, or generated from FaultRates — and arms one engine
+// scheduleFaults resolves the configured fault schedule — explicit or
+// generated from FaultRates — and arms one engine
 // event per fault. An empty schedule arms nothing, so the run stays
 // byte-identical to a fault-free one.
 func (s *System) scheduleFaults() error {
-	sched := s.cfg.faultSchedule()
+	sched := s.cfg.Faults
 	if sched.Empty() && s.cfg.FaultRates.Active() {
 		sched = fault.Generate(s.cfg.FaultRates, s.faultShape())
 	}

@@ -199,19 +199,3 @@ func TestMetricsRowCount(t *testing.T) {
 		t.Fatalf("metrics rows = %d, want ⌈%d/%d⌉ = %d", got, res.Total, cfg.MetricsEpoch, want)
 	}
 }
-
-// TestObsDefaultDirectories checks the process-wide default the CLIs use:
-// runs with no outputs named get per-run files under the directories.
-func TestObsDefaultDirectories(t *testing.T) {
-	dir := t.TempDir()
-	SetObsDefault(dir, dir, 2*sim.Microsecond)
-	defer SetObsDefault("", "", 0)
-	if _, err := Run(tiny(PCIe, "VA")); err != nil {
-		t.Fatal(err)
-	}
-	traces, _ := filepath.Glob(filepath.Join(dir, "*-VA-PCIe.trace.json"))
-	metrics, _ := filepath.Glob(filepath.Join(dir, "*-VA-PCIe.metrics.csv"))
-	if len(traces) != 1 || len(metrics) != 1 {
-		t.Fatalf("default dirs produced %d traces / %d metrics files, want 1/1", len(traces), len(metrics))
-	}
-}

@@ -147,22 +147,3 @@ func TestProfileWritten(t *testing.T) {
 		t.Fatal("GMN run recorded no PCIe transfers in the profile")
 	}
 }
-
-// TestProfDefaultDirectory checks the process-wide default the CLIs use:
-// runs that request no profile of their own get per-run files under the
-// directory.
-func TestProfDefaultDirectory(t *testing.T) {
-	dir := t.TempDir()
-	SetProfDefault(dir)
-	defer SetProfDefault("")
-	if _, err := Run(tiny(PCIe, "VA")); err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "*-VA-PCIe.profile.json"))
-	if len(files) != 1 {
-		t.Fatalf("default profile dir produced %d files, want 1", len(files))
-	}
-	if _, err := prof.LoadFile(files[0]); err != nil {
-		t.Fatal(err)
-	}
-}

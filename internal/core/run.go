@@ -127,14 +127,14 @@ func (s *System) Execute() (*Result, error) {
 	return res, nil
 }
 
-// emitProgress forwards one event to the resolved progress sink. It is
+// emitProgress forwards one event to the configured progress sink. It is
 // called only at run and phase boundaries, where the engine is between
 // events, so the sink can never perturb the simulation.
 func (s *System) emitProgress(event, phase string) {
-	if s.prog == nil {
+	if s.cfg.Progress == nil {
 		return
 	}
-	s.prog(obs.ProgressEvent{Event: event, Run: s.runLabel, Phase: phase, At: s.eng.Now()})
+	s.cfg.Progress(obs.ProgressEvent{Event: event, Run: s.runLabel, Phase: phase, At: s.eng.Now()})
 }
 
 // flushObs closes the final (possibly partial) metrics window and writes
@@ -264,7 +264,7 @@ func (s *System) runPhase(name string, start func(done func())) (sim.Time, error
 		if finished {
 			return false
 		}
-		if s.stop.Tripped() {
+		if s.cfg.Stop.Tripped() {
 			stopped = true
 			return false
 		}
@@ -289,7 +289,7 @@ func (s *System) runPhase(name string, start func(done func())) (sim.Time, error
 		return 0, fmt.Errorf("core: phase %q aborted at t=%d ps: %w", name, s.eng.Now(), s.fatal)
 	}
 	if stopped {
-		reason := s.stop.Reason()
+		reason := s.cfg.Stop.Reason()
 		if reason == "" {
 			reason = "stop signal tripped"
 		}
@@ -348,6 +348,14 @@ func (s *System) memcpy(h2d bool, done func()) {
 	}
 	shootdown := sim.Time(dirtyPages) * 20 * sim.Nanosecond
 
+	// Visit clusters in index order, never map order: the PCIe trace spans
+	// and the CMN float64 sum below must come out the same on every run.
+	clusters := make([]int, 0, len(byCluster))
+	for c := range byCluster {
+		clusters = append(clusters, c)
+	}
+	sort.Ints(clusters)
+
 	if s.cfg.Arch.hasPCIe() {
 		remaining := len(byCluster)
 		cpuEP := s.ep[s.cfg.cpuCluster()]
@@ -357,14 +365,6 @@ func (s *System) memcpy(h2d bool, done func()) {
 				s.eng.After(shootdown, done)
 			}
 		}
-		// Issue in cluster order: the phase time is order-independent (all
-		// transfers serialize on the CPU link), but the per-transfer spans
-		// in the trace must be deterministic.
-		clusters := make([]int, 0, len(byCluster))
-		for c := range byCluster {
-			clusters = append(clusters, c)
-		}
-		sort.Ints(clusters)
 		for _, c := range clusters {
 			if h2d {
 				s.fabric.Send(cpuEP, s.ep[c], byCluster[c], finish)
@@ -380,8 +380,8 @@ func (s *System) memcpy(h2d bool, done func()) {
 	chanBW := float64(s.cfg.Net.FlitBytes) * s.cfg.Net.ClockMHz * 1e6 // bytes/s per channel
 	perGPU := float64(cmnChansPerGPU) * chanBW
 	var total float64
-	for _, bytes := range byCluster {
-		total += float64(bytes) / perGPU
+	for _, c := range clusters {
+		total += float64(byCluster[c]) / perGPU
 	}
 	dur := sim.Time(total*1e12) + 2*sim.Microsecond + shootdown
 	s.eng.After(dur, done)

@@ -66,15 +66,8 @@ type System struct {
 	profRun *prof.Run
 	profile *prof.Profile
 
-	// prog is the resolved progress sink (nil when none); runLabel names
-	// this run in its events as "<workload>/<arch>".
-	prog     obs.ProgressFunc
+	// runLabel names this run in its progress events as "<workload>/<arch>".
 	runLabel string
-
-	// stop is the resolved cooperative stop signal (nil when none): the
-	// phase loop polls it between events and unwinds with ErrStopped once
-	// it trips. Passive while untripped, like the obs and prof layers.
-	stop *sim.Stop
 
 	// fatal records the first unrecoverable fault-injection outcome (work
 	// lost with nowhere to re-queue it); the phase runner aborts on it.
@@ -113,9 +106,6 @@ type peerResp struct{ done func() }
 func NewSystem(cfg Config) (*System, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if !packetPoolDefault.Load() {
-		cfg.Net.NoPacketPool = true
 	}
 	w := cfg.Custom
 	if w == nil {
@@ -202,11 +192,7 @@ func NewSystem(cfg Config) (*System, error) {
 		s.aud = audit.New(func() int64 { return int64(s.eng.Now()) })
 		s.registerAudits()
 	}
-	s.prog = cfg.progressFunc()
-	s.stop = cfg.stopSignal()
 	s.runLabel = w.Abbr + "/" + cfg.Arch.String()
-	s.cfg.resolveObs(w.Abbr)
-	s.cfg.resolveProf(w.Abbr)
 	if s.cfg.Profile || s.cfg.ProfileOut != "" {
 		s.profRun = prof.NewRun()
 		s.profRun.Label = s.runLabel

@@ -8,17 +8,14 @@ import (
 	"memnet/internal/sim"
 )
 
-// TestSweepCancellation checks that the process-wide stop latch a serving
-// layer installs tears down a whole experiment fan-out: every run polls
-// the latch between engine events, the pool surfaces the lowest-indexed
-// run's error, and the %w wrapping keeps core.ErrStopped visible through
-// errors.Is at the registry boundary.
+// TestSweepCancellation checks that a stop latch a Configure hook attaches
+// tears down a whole experiment fan-out: every run polls the latch between
+// engine events, the pool surfaces the lowest-indexed run's error, and the
+// %w wrapping keeps core.ErrStopped visible through errors.Is at the
+// registry boundary.
 func TestSweepCancellation(t *testing.T) {
 	stop := &sim.Stop{}
 	stop.Trip("cancelled by test")
-	core.SetStopDefault(stop)
-	defer core.SetStopDefault(nil)
-
 	for _, name := range []string{"fig7", "fig14"} {
 		e, ok := Find(name)
 		if !ok {
@@ -27,15 +24,15 @@ func TestSweepCancellation(t *testing.T) {
 		p := DefaultParams()
 		p.Scale = 0.05
 		p.Workloads = []string{"BP"}
+		p.Configure = func(cfg *core.Config, _ string) { cfg.Stop = stop }
 		if _, err := e.Run(p); !errors.Is(err, core.ErrStopped) {
 			t.Fatalf("%s under a tripped latch returned %v, want core.ErrStopped", name, err)
 		}
 	}
 
-	// Clearing the default restores normal sweeps.
-	core.SetStopDefault(nil)
+	// Without the hook the latch reaches nothing.
 	e, _ := Find("table2")
 	if _, err := e.Run(Params{}); err != nil {
-		t.Fatalf("table2 after clearing the latch failed: %v", err)
+		t.Fatalf("table2 without the latch failed: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ func TestFig14DeterministicAcrossParallelism(t *testing.T) {
 	run := func(p int) string {
 		prev := par.SetParallelism(p)
 		defer par.SetParallelism(prev)
-		r, err := Fig14(0.05, workloads)
+		r, err := Fig14(0.05, workloads, nil)
 		if err != nil {
 			t.Fatalf("par=%d: %v", p, err)
 		}
@@ -36,7 +36,7 @@ func TestFig19DeterministicAcrossParallelism(t *testing.T) {
 	run := func(p int) string {
 		prev := par.SetParallelism(p)
 		defer par.SetParallelism(prev)
-		rows, gm, err := Fig19(0.1, []int{1, 2})
+		rows, gm, err := Fig19(0.1, []int{1, 2}, nil)
 		if err != nil {
 			t.Fatalf("par=%d: %v", p, err)
 		}
@@ -53,9 +53,7 @@ func TestFig19DeterministicAcrossParallelism(t *testing.T) {
 // cycle. A figure sweep is byte-identical with pooling on and off.
 func TestFig7DeterministicAcrossPooling(t *testing.T) {
 	run := func(pool bool) string {
-		core.SetPacketPoolDefault(pool)
-		defer core.SetPacketPoolDefault(true)
-		r, err := Fig7(0.05)
+		r, err := Fig7(0.05, func(cfg *core.Config, _ string) { cfg.Net.NoPacketPool = !pool })
 		if err != nil {
 			t.Fatalf("pool=%v: %v", pool, err)
 		}

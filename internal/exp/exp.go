@@ -14,12 +14,18 @@
 // (internal/par.SetParallelism / MEMNET_PAR / cmd/experiments -par select
 // the width). Results are assembled in job order, so the rendered tables
 // are byte-identical at any parallelism.
+//
+// Per-run settings that do not change results — auditing, tracing,
+// profiling, progress sinks, stop latches, fault schedules — reach those
+// internally built configs through a Configure hook, applied to each run
+// just before it executes.
 package exp
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"memnet/internal/core"
@@ -34,12 +40,30 @@ import (
 // us converts picoseconds to microseconds for display.
 func us(t sim.Time) float64 { return float64(t) / 1e6 }
 
-// runAll fans a list of run configurations out across the worker pool and
-// returns the results in job order.
-func runAll(cfgs []core.Config) ([]*core.Result, error) {
+// Configure adjusts one run's Config just before it executes. run is a
+// deterministic id, "<index>-<workload>-<arch>", where index is the run's
+// position in its experiment's job list, zero-padded (at least three
+// digits) so ids sort in job order; per-run output files named after it
+// are the same at any parallelism. A nil Configure runs every Config as
+// built.
+type Configure func(cfg *core.Config, run string)
+
+// runAll fans a list of run configurations out across the worker pool,
+// applying configure to each, and returns the results in job order.
+func runAll(cfgs []core.Config, configure Configure) ([]*core.Result, error) {
+	// Pad the index to a common width so run ids sort in job order.
+	width := max(3, len(strconv.Itoa(len(cfgs)-1)))
 	return par.Map(context.Background(), 0, len(cfgs),
 		func(_ context.Context, i int) (*core.Result, error) {
-			return core.Run(cfgs[i])
+			cfg := cfgs[i]
+			if configure != nil {
+				configure(&cfg, fmt.Sprintf("%0*d-%s-%s", width, i, cfg.Workload, cfg.Arch))
+			}
+			res, err := core.Run(cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", cfg.Workload, cfg.Arch, err)
+			}
+			return res, nil
 		})
 }
 
@@ -72,7 +96,7 @@ type Fig7Result struct {
 }
 
 // Fig7 runs the Fig. 7 experiment.
-func Fig7(scale float64) (*Fig7Result, error) {
+func Fig7(scale float64, configure Configure) (*Fig7Result, error) {
 	config := func(arch core.Arch, k int, pcieBW float64) core.Config {
 		cfg := core.DefaultConfig(arch, "VA")
 		cfg.Scale = scale
@@ -95,7 +119,7 @@ func Fig7(scale float64) (*Fig7Result, error) {
 	for _, k := range ks {
 		cfgs = append(cfgs, config(core.GMN, k, 0))
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +168,7 @@ type Fig10Result struct {
 
 // Fig10 measures traffic distributions for KMN (near-uniform) and CG.S
 // (imbalanced) on the 4GPU-16HMC system.
-func Fig10(scale float64) ([]*Fig10Result, error) {
+func Fig10(scale float64, configure Configure) ([]*Fig10Result, error) {
 	workloads := []string{"KMN", "CG.S"}
 	var cfgs []core.Config
 	for _, wl := range workloads {
@@ -152,7 +176,7 @@ func Fig10(scale float64) ([]*Fig10Result, error) {
 		cfg.Scale = scale
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -297,36 +321,29 @@ type Fig14Result struct {
 
 // Fig14 runs every architecture of Table III on the given workloads
 // (default: all of Table II).
-func Fig14(scale float64, workloads []string) (*Fig14Result, error) {
+func Fig14(scale float64, workloads []string, configure Configure) (*Fig14Result, error) {
 	if len(workloads) == 0 {
 		workloads = Fig14Workloads()
 	}
 	archs := core.Architectures()
-	type job struct {
-		wl   string
-		arch core.Arch
-	}
-	var jobs []job
+	var cfgs []core.Config
 	for _, wl := range workloads {
 		for _, arch := range archs {
-			jobs = append(jobs, job{wl, arch})
+			cfg := core.DefaultConfig(arch, wl)
+			cfg.Scale = scale
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	cells, err := par.Map(context.Background(), 0, len(jobs),
-		func(_ context.Context, i int) (Fig14Cell, error) {
-			cfg := core.DefaultConfig(jobs[i].arch, jobs[i].wl)
-			cfg.Scale = scale
-			res, err := core.Run(cfg)
-			if err != nil {
-				return Fig14Cell{}, fmt.Errorf("%s/%s: %w", jobs[i].wl, jobs[i].arch, err)
-			}
-			return Fig14Cell{
-				Arch: jobs[i].arch.String(), H2D: res.H2D, Kernel: res.Kernel,
-				Host: res.Host, D2H: res.D2H, Total: res.Total,
-			}, nil
-		})
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
+	}
+	cells := make([]Fig14Cell, len(results))
+	for i, res := range results {
+		cells[i] = Fig14Cell{
+			Arch: cfgs[i].Arch.String(), H2D: res.H2D, Kernel: res.Kernel,
+			Host: res.Host, D2H: res.D2H, Total: res.Total,
+		}
 	}
 	out := &Fig14Result{}
 	for r, wl := range workloads {
@@ -419,7 +436,7 @@ type Fig15Row struct {
 
 // Fig15 evaluates routing on dDFLY and dFBFLY for representative
 // workloads (KMN and CP show ~no gain; CG.S gains from adaptivity).
-func Fig15(scale float64) ([]Fig15Row, error) {
+func Fig15(scale float64, configure Configure) ([]Fig15Row, error) {
 	type pair struct {
 		topo noc.TopoKind
 		wl   string
@@ -439,7 +456,7 @@ func Fig15(scale float64) ([]Fig15Row, error) {
 			}
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +517,7 @@ func Fig16Topos() []struct {
 
 // Fig16 compares the sliced topologies' kernel performance and network
 // energy (Fig. 16 and Fig. 17 share the same runs).
-func Fig16(scale float64, workloads []string) ([]TopoRow, error) {
+func Fig16(scale float64, workloads []string, configure Configure) ([]TopoRow, error) {
 	if len(workloads) == 0 {
 		workloads = Fig14Workloads()
 	}
@@ -522,7 +539,7 @@ func Fig16(scale float64, workloads []string) ([]TopoRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +601,7 @@ type Fig18Row struct {
 
 // Fig18 compares UMN designs for the host thread on the workloads that use
 // the CPU (CG.S and FT.S), on a 1CPU-3GPU-16HMC system as in the paper.
-func Fig18(scale float64) ([]Fig18Row, error) {
+func Fig18(scale float64, configure Configure) ([]Fig18Row, error) {
 	designs := []struct {
 		name    string
 		topo    noc.TopoKind
@@ -611,7 +628,7 @@ func Fig18(scale float64) ([]Fig18Row, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -647,7 +664,7 @@ type Fig19Row struct {
 // inputs that oversubscribe sixteen 64-SM GPUs is impractical in software,
 // so the study shrinks each GPU to 8 SMs instead — the parallelism ratio
 // (CTAs per SM slot) matches and the scaling shape is preserved.
-func Fig19(scale float64, gpuCounts []int) ([]Fig19Row, float64, error) {
+func Fig19(scale float64, gpuCounts []int, configure Configure) ([]Fig19Row, float64, error) {
 	if len(gpuCounts) == 0 {
 		gpuCounts = []int{1, 2, 4, 8, 16}
 	}
@@ -667,7 +684,7 @@ func Fig19(scale float64, gpuCounts []int) ([]Fig19Row, float64, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -720,7 +737,7 @@ type SchedRow struct {
 
 // CTASched reproduces the Section III-B scheduler comparison: static
 // chunked assignment vs fine-grained round-robin vs static + stealing.
-func CTASched(scale float64, workloads []string) ([]SchedRow, error) {
+func CTASched(scale float64, workloads []string, configure Configure) ([]SchedRow, error) {
 	if len(workloads) == 0 {
 		workloads = []string{"SRAD", "BP", "KMN", "3DFD"}
 	}
@@ -739,7 +756,7 @@ func CTASched(scale float64, workloads []string) ([]SchedRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}
@@ -873,7 +890,7 @@ type PlacementRow struct {
 // open question of Section III-C by comparing the paper's random page
 // placement against an owner-compute mapping aligned with SKE's static
 // CTA chunks.
-func Placement(scale float64, workloads []string) ([]PlacementRow, error) {
+func Placement(scale float64, workloads []string, configure Configure) ([]PlacementRow, error) {
 	if len(workloads) == 0 {
 		workloads = []string{"BP", "SRAD", "VA", "BFS"}
 	}
@@ -896,7 +913,7 @@ func Placement(scale float64, workloads []string) ([]PlacementRow, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	results, err := runAll(cfgs)
+	results, err := runAll(cfgs, configure)
 	if err != nil {
 		return nil, err
 	}

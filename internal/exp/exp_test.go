@@ -39,7 +39,7 @@ func TestTableIIListsAllWorkloads(t *testing.T) {
 }
 
 func TestFig7SmallScale(t *testing.T) {
-	r, err := Fig7(0.1)
+	r, err := Fig7(0.1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestFig7SmallScale(t *testing.T) {
 }
 
 func TestCTASchedRendering(t *testing.T) {
-	rows, err := CTASched(0.05, []string{"SRAD"})
+	rows, err := CTASched(0.05, []string{"SRAD"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestGeomeanBy(t *testing.T) {
 }
 
 func TestFig10ShapesAtTinyScale(t *testing.T) {
-	rs, err := Fig10(0.05)
+	rs, err := Fig10(0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFig10ShapesAtTinyScale(t *testing.T) {
 }
 
 func TestFig15RunsAndRenders(t *testing.T) {
-	rows, err := Fig15(0.05)
+	rows, err := Fig15(0.05, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFig15RunsAndRenders(t *testing.T) {
 }
 
 func TestFig16RunsAndRenders(t *testing.T) {
-	rows, err := Fig16(0.05, []string{"VA"})
+	rows, err := Fig16(0.05, []string{"VA"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestFig16RunsAndRenders(t *testing.T) {
 }
 
 func TestPlacementRunsAndRenders(t *testing.T) {
-	rows, err := Placement(0.05, []string{"VA"})
+	rows, err := Placement(0.05, []string{"VA"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

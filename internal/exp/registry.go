@@ -17,6 +17,11 @@ type Params struct {
 	Workloads []string // workload subset (nil = the per-experiment default)
 	GPUs      []int    // GPU counts for the scalability sweep
 	DegLinks  int      // max failed link pairs for the degradation sweep
+
+	// Configure, when non-nil, adjusts every simulated run's Config (see
+	// Configure). It is how a caller attaches per-run settings that leave
+	// results unchanged, so it is not part of a request's identity.
+	Configure Configure
 }
 
 // DefaultParams mirrors cmd/experiments' flag defaults.
@@ -103,13 +108,13 @@ var registry = []Experiment{
 	{Name: "fig7", Desc: "Fig. 7 — cost of remote memory access (PCIe vs GMN)",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			r, err := Fig7(p.Scale)
+			r, err := Fig7(p.Scale, p.Configure)
 			return render(r, err)
 		}},
 	{Name: "fig10", Desc: "Fig. 10 — GPU-to-HMC traffic distribution",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rs, err := Fig10(p.Scale)
+			rs, err := Fig10(p.Scale, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -130,13 +135,13 @@ var registry = []Experiment{
 	{Name: "fig14", Desc: "Fig. 14 — runtime breakdown across architectures",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			r, err := Fig14(p.Scale, p.Workloads)
+			r, err := Fig14(p.Scale, p.Workloads, p.Configure)
 			return render(r, err)
 		}},
 	{Name: "fig15", Desc: "Fig. 15 — minimal vs UGAL routing",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Fig15(p.Scale)
+			rows, err := Fig15(p.Scale, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -149,7 +154,7 @@ var registry = []Experiment{
 			if len(sel) == 0 {
 				sel = []string{"BP", "KMN", "BFS", "SRAD", "FWT", "CP"}
 			}
-			rows, err := Fig16(p.Scale, sel)
+			rows, err := Fig16(p.Scale, sel, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -163,7 +168,7 @@ var registry = []Experiment{
 	{Name: "fig18", Desc: "Fig. 18 — UMN designs for the host thread",
 		UsesScale: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Fig18(p.Scale)
+			rows, err := Fig18(p.Scale, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -172,7 +177,7 @@ var registry = []Experiment{
 	{Name: "fig19", Desc: "Fig. 19 — kernel speedup vs GPU count",
 		UsesScale: true, UsesGPUs: true,
 		Run: func(p Params) (string, error) {
-			rows, gm, err := Fig19(p.Scale, p.GPUs)
+			rows, gm, err := Fig19(p.Scale, p.GPUs, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -181,7 +186,7 @@ var registry = []Experiment{
 	{Name: "placement", Desc: "Extension — page placement: random vs owner-compute",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			rows, err := Placement(p.Scale, p.Workloads)
+			rows, err := Placement(p.Scale, p.Workloads, p.Configure)
 			if err != nil {
 				return "", err
 			}
@@ -190,7 +195,7 @@ var registry = []Experiment{
 	{Name: "ctasched", Desc: "Section III-B — CTA assignment policies",
 		UsesScale: true, UsesWorkloads: true,
 		Run: func(p Params) (string, error) {
-			rows, err := CTASched(p.Scale, p.Workloads)
+			rows, err := CTASched(p.Scale, p.Workloads, p.Configure)
 			if err != nil {
 				return "", err
 			}

@@ -183,10 +183,9 @@ type job struct {
 	queuedAt time.Time
 	prog     *telemetry.Progress
 
-	// stop is the job's cooperative cancel latch. execute installs it as
-	// the process-wide default for the duration of the run (jobs run one
-	// at a time); DELETE /v1/jobs/{id} and deadline expiry trip it, and
-	// the sweep unwinds at the next engine-event boundary.
+	// stop is the job's cooperative cancel latch. execute attaches it to
+	// every run of the job; DELETE /v1/jobs/{id} and deadline expiry trip
+	// it, and the sweep unwinds at the next engine-event boundary.
 	stop *sim.Stop
 	// recovered marks a job revived or re-queued by journal replay after
 	// a restart, so operators can tell a recovered result from a fresh one.

@@ -1,22 +1,26 @@
 package serve_test
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"memnet/internal/core"
+	"memnet/internal/exp"
+	"memnet/internal/par"
 	"memnet/internal/prof"
 	"memnet/internal/serve"
 )
 
 // profileRunner runs two real (tiny) simulations, so a profiling server
-// collects one profile per run through the process-wide default.
-func profileRunner(sp *serve.JobSpec) (string, error) {
-	for _, arch := range []core.Arch{core.PCIe, core.UMN} {
+// collects one profile per run through the job's configure hook.
+func profileRunner(sp *serve.JobSpec, configure exp.Configure) (string, error) {
+	for i, arch := range []core.Arch{core.PCIe, core.UMN} {
 		cfg := core.DefaultConfig(arch, "VA")
 		cfg.Scale = 0.05
+		configure(&cfg, fmt.Sprintf("%03d-VA-%s", i, arch))
 		if _, err := core.Run(cfg); err != nil {
 			return "", err
 		}
@@ -58,6 +62,44 @@ func TestProfileEndpoint(t *testing.T) {
 		}
 		if p.Net == nil || len(p.Net.Classes) == 0 {
 			t.Fatalf("profile %d has no network section", i)
+		}
+	}
+}
+
+// TestProfileEndpointJobOrder runs a real registry experiment on a
+// parallel pool and checks the served profiles come back in the
+// experiment's job order (Table III architecture order for fig14), not in
+// the order the workers happened to finish.
+func TestProfileEndpointJobOrder(t *testing.T) {
+	prev := par.SetParallelism(4)
+	defer par.SetParallelism(prev)
+	s := newServer(t, serve.Config{Profile: true}) // RegistryRunner
+	defer s.Shutdown(ctxT(t))
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	key, _, _, err := s.Submit(&serve.JobSpec{Experiment: "fig14", Scale: 0.05, Workloads: []string{"VA"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(ctxT(t), key); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + key + "/profile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var profiles []prof.Profile
+	if err := decodeJSON(resp, &profiles); err != nil {
+		t.Fatal(err)
+	}
+	archs := core.Architectures()
+	if len(profiles) != len(archs) {
+		t.Fatalf("got %d profiles, want %d (one per architecture)", len(profiles), len(archs))
+	}
+	for i, arch := range archs {
+		if want := "VA/" + arch.String(); profiles[i].Run != want {
+			t.Fatalf("profile %d is %q, want %q (job order)", i, profiles[i].Run, want)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"memnet/internal/exp"
 	"memnet/internal/serve"
 	"memnet/internal/serve/cachedir"
 )
@@ -196,7 +197,7 @@ func TestCancelQueuedJob(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 1)
-	runner := func(sp *serve.JobSpec) (string, error) {
+	runner := func(sp *serve.JobSpec, _ exp.Configure) (string, error) {
 		started <- sp.Experiment
 		<-gate
 		return "", errors.New("sweep torn down")
@@ -269,7 +270,7 @@ func TestDeadlineDoesNotAffectIdentity(t *testing.T) {
 func TestAdmissionShed(t *testing.T) {
 	gate := make(chan struct{})
 	started := make(chan string, 8)
-	slow := func(sp *serve.JobSpec) (string, error) {
+	slow := func(sp *serve.JobSpec, _ exp.Configure) (string, error) {
 		started <- sp.Experiment
 		if sp.Experiment != "fig7" {
 			<-gate

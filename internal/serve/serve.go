@@ -101,18 +101,23 @@ func (e *OverloadError) Error() string {
 }
 
 // Runner executes one canonicalized job and returns its rendered result.
-// The default runs the experiment registry; tests inject stubs.
-type Runner func(spec *JobSpec) (string, error)
+// configure, never nil, carries the job's per-run settings (progress sink,
+// stop latch, fault schedule, profile file) and must be applied to every
+// simulated run. The default runs the experiment registry; tests inject
+// stubs.
+type Runner func(spec *JobSpec, configure exp.Configure) (string, error)
 
 // RegistryRunner renders spec's experiment exactly as cmd/experiments
 // prints it (including the trailing newline fmt.Println appends), so a
 // served result byte-compares against the CLI's stdout.
-func RegistryRunner(spec *JobSpec) (string, error) {
+func RegistryRunner(spec *JobSpec, configure exp.Configure) (string, error) {
 	e, ok := exp.Find(spec.Experiment)
 	if !ok {
 		return "", fmt.Errorf("serve: unknown experiment %q", spec.Experiment)
 	}
-	out, err := e.Run(spec.Params())
+	p := spec.Params()
+	p.Configure = configure
+	out, err := e.Run(p)
 	if err != nil {
 		return "", err
 	}
@@ -647,9 +652,8 @@ func (s *Server) removeQueuedLocked(target *job) bool {
 
 // dispatch is the single executor loop: it picks one queued job at a time
 // (round-robin over clients, FIFO within a client) and runs it. One job
-// at a time is deliberate — each job already fans its runs across the
-// whole internal/par pool, and serial execution is what lets the per-job
-// process-wide fault/progress defaults compose safely.
+// at a time is deliberate: each job already fans its runs across the
+// whole internal/par pool.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
 	for {
@@ -716,16 +720,11 @@ func (s *Server) deadlineFor(spec *JobSpec) time.Duration {
 	return d
 }
 
-// execute runs one job through the Runner with the job's progress sink,
-// stop latch and fault schedule installed as the process-wide defaults
-// (safe because jobs run strictly one at a time), then publishes the
+// execute runs one job through the Runner, handing it a hook that attaches
+// the job's progress sink, stop latch, fault schedule and (with
+// Config.Profile) per-run profile file to every run, then publishes the
 // terminal state.
 func (s *Server) execute(j *job) {
-	core.SetProgressDefault(func(ev obs.ProgressEvent) { s.publishProgress(j, ev) })
-	core.SetStopDefault(j.stop)
-	if j.spec.Faults != nil {
-		core.SetFaultDefault(j.spec.Faults)
-	}
 	var deadlineTimer *time.Timer
 	if d := s.deadlineFor(j.spec); d > 0 {
 		deadlineTimer = time.AfterFunc(d, func() {
@@ -740,21 +739,25 @@ func (s *Server) execute(j *job) {
 			s.lg.Error("profile dir creation failed", "job", j.key, "err", err)
 		} else {
 			profDir = dir
-			core.SetProfDefault(dir)
+		}
+	}
+	progress := func(ev obs.ProgressEvent) { s.publishProgress(j, ev) }
+	configure := func(cfg *core.Config, run string) {
+		cfg.Progress = progress
+		cfg.Stop = j.stop
+		cfg.Faults = j.spec.Faults
+		if profDir != "" {
+			cfg.ProfileOut = filepath.Join(profDir, run+".profile.json")
 		}
 	}
 	start := time.Now()
-	out, err := s.cfg.Runner(j.spec)
+	out, err := s.cfg.Runner(j.spec, configure)
 	elapsed := time.Since(start)
 	if deadlineTimer != nil {
 		deadlineTimer.Stop()
 	}
-	core.SetFaultDefault(nil)
-	core.SetStopDefault(nil)
-	core.SetProgressDefault(nil)
 	var profiles []json.RawMessage
 	if profDir != "" {
-		core.SetProfDefault("")
 		profiles = s.collectProfiles(j, profDir)
 		os.RemoveAll(profDir)
 	}
@@ -809,8 +812,8 @@ func (s *Server) execute(j *job) {
 }
 
 // collectProfiles reads the per-run profile files a job's sweep wrote
-// into its temporary directory. Glob order sorts by the sequence prefix,
-// so profiles come back in run-start order.
+// into its temporary directory. Files are named after their zero-padded
+// run ids, so glob order is job order.
 func (s *Server) collectProfiles(j *job, dir string) []json.RawMessage {
 	files, err := filepath.Glob(filepath.Join(dir, "*.profile.json"))
 	if err != nil {

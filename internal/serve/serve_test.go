@@ -34,7 +34,7 @@ func ctxT(t *testing.T) context.Context {
 // and blocks each job until a token arrives on gate (nil gate = no block).
 func countingRunner(gate chan struct{}, started chan<- string) (Runner, *runLog) {
 	lg := &runLog{}
-	return func(spec *serve.JobSpec) (string, error) {
+	return func(spec *serve.JobSpec, _ exp.Configure) (string, error) {
 		tag := fmt.Sprintf("%s/%v", spec.Experiment, spec.Scale)
 		if started != nil {
 			started <- tag
@@ -433,13 +433,14 @@ func TestRegistryRunner(t *testing.T) {
 	}
 }
 
-// TestProgressStream runs one real (tiny) simulation through the default
-// progress plumbing and checks the events endpoint replays the full
+// TestProgressStream runs one real (tiny) simulation through the job's
+// configure hook and checks the events endpoint replays the full
 // lifecycle as JSON lines.
 func TestProgressStream(t *testing.T) {
-	runner := func(sp *serve.JobSpec) (string, error) {
+	runner := func(sp *serve.JobSpec, configure exp.Configure) (string, error) {
 		cfg := core.DefaultConfig(core.PCIe, "VA")
 		cfg.Scale = 0.05
+		configure(&cfg, "000-VA-PCIe")
 		if _, err := core.Run(cfg); err != nil {
 			return "", err
 		}

@@ -11,8 +11,8 @@
 // Each figure's run matrix fans out over the internal/par worker pool
 // (width MEMNET_PAR, default: CPU count), so a -bench=. sweep uses every
 // core; reported simulation metrics are identical at any parallelism.
-// The harness itself (the same sweep sequential vs fanned out) is measured
-// by internal/bench's SweepSequential/SweepParallel, run via cmd/bench.
+// Running BenchmarkFig15 with MEMNET_PAR=1 and at the default width
+// measures the fan-out itself.
 package memnet_test
 
 import (

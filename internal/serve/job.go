@@ -216,6 +216,15 @@ func newJob(spec *JobSpec, key string) *job {
 	}
 }
 
+// client is the queue-fairness bucket the job waits in: its spec's
+// Client, or "anonymous" when the submitter gave none.
+func (j *job) client() string {
+	if j.spec.Client == "" {
+		return "anonymous"
+	}
+	return j.spec.Client
+}
+
 // publishLocked appends one event line to the replay buffer and fans it
 // out to live subscribers (dropping to any subscriber whose channel is
 // full: progress is advisory, results are not).

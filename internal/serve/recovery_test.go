@@ -191,6 +191,39 @@ func TestCancelQueuedJob(t *testing.T) {
 	s.Shutdown(ctxT(t))
 }
 
+// TestCancelRecoveredAnonymousJob: a client-less job re-queued by journal
+// replay sits in the same "anonymous" FIFO that Cancel unlinks it from, so
+// cancelling it is immediate and leaves the queue empty.
+func TestCancelRecoveredAnonymousJob(t *testing.T) {
+	dir := t.TempDir()
+	specA, keyA := canon(t, spec("fig7", 0.05, ""))
+	specB, keyB := canon(t, spec("fig12", 0.05, ""))
+	writeWAL(t, dir,
+		walLine("submitted", keyA, specA),
+		walLine("submitted", keyB, specB),
+	)
+
+	gate := make(chan struct{})
+	started := make(chan string, 2)
+	runner, _ := countingRunner(gate, started)
+	s := newServer(t, serve.Config{Runner: runner, CacheDir: dir})
+	<-started // recovered A is running and holding the dispatcher
+
+	state, err := s.Cancel(keyB, "operator says no")
+	if err != nil || state != "cancelled" {
+		t.Fatalf("Cancel recovered queued job = %q, %v", state, err)
+	}
+	if st := s.Stats(); st.Queued != 0 {
+		t.Fatalf("Stats().Queued = %d after cancelling the only queued job, want 0", st.Queued)
+	}
+
+	close(gate)
+	if _, err := s.Wait(ctxT(t), keyA); err != nil {
+		t.Fatal(err)
+	}
+	s.Shutdown(ctxT(t))
+}
+
 // TestCancelRunningJob: cancelling the in-flight job trips its stop latch
 // and, when the runner unwinds with an error, the job lands cancelled —
 // not failed — carrying the cancel reason.

@@ -56,8 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"log/slog"
 	"net/http"
 	"os"
@@ -148,13 +146,9 @@ type Config struct {
 	MaxRunTime time.Duration
 	// Runner executes jobs (default RegistryRunner).
 	Runner Runner
-	// Log selects the destination for lifecycle logs when Logger is nil:
-	// its writer receives the structured JSON lines. Kept as a *log.Logger
-	// so existing callers (and tests passing io.Discard) keep working.
-	Log *log.Logger
 	// Logger receives structured lifecycle logs, keyed by job
-	// content-address under the "job" attribute. Nil falls back to a JSON
-	// logger on Log's writer (or stderr when Log is also nil).
+	// content-address under the "job" attribute. Nil logs JSON lines to
+	// stderr.
 	Logger *slog.Logger
 	// Profile, when true, collects a latency-attribution profile (package
 	// prof) for every run of every executed job and serves them at
@@ -244,11 +238,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Runner = RegistryRunner
 	}
 	if cfg.Logger == nil {
-		w := io.Writer(os.Stderr)
-		if cfg.Log != nil {
-			w = cfg.Log.Writer()
-		}
-		cfg.Logger = telemetry.NewLogger(w)
+		cfg.Logger = telemetry.NewLogger(os.Stderr)
 	}
 	s := &Server{
 		cfg:            cfg,
@@ -333,15 +323,7 @@ func (s *Server) recover() {
 			continue
 		}
 		s.jobs[key] = j
-		client := spec.Client
-		if client == "" {
-			client = "anonymous"
-		}
-		if len(s.queue[client]) == 0 {
-			s.clients = append(s.clients, client)
-		}
-		s.queue[client] = append(s.queue[client], j)
-		s.queuedN++
+		s.enqueueLocked(j)
 		j.publishLocked(fmt.Sprintf(`{"event":"job_recovered","id":%q,"interrupted":%v}`, key, rj.started))
 		requeued++
 	}
@@ -526,21 +508,13 @@ func (s *Server) admit(spec *JobSpec) (*job, bool, error) {
 	}
 	j := newJob(spec, key)
 	s.jobs[key] = j
-	client := spec.Client
-	if client == "" {
-		client = "anonymous"
-	}
-	if len(s.queue[client]) == 0 {
-		s.clients = append(s.clients, client)
-	}
-	s.queue[client] = append(s.queue[client], j)
-	s.queuedN++
+	s.enqueueLocked(j)
 	s.met.cacheMiss.Inc()
 	s.met.queuedTotal.Inc()
 	s.met.queueDepth.Set(int64(s.queuedN))
 	s.met.setClientQueuesLocked(s.queue)
 	s.journalLocked(journalRecord{Type: recSubmitted, Job: key, Spec: spec})
-	s.lg.Info("job queued", "job", key, "experiment", spec.Experiment, "client", client, "queued", s.queuedN)
+	s.lg.Info("job queued", "job", key, "experiment", spec.Experiment, "client", j.client(), "queued", s.queuedN)
 	s.cond.Signal()
 	return j, false, nil
 }
@@ -617,13 +591,21 @@ func (s *Server) Cancel(key, reason string) (state string, err error) {
 	}
 }
 
+// enqueueLocked appends a job to its client's FIFO, adding the client to
+// the round-robin order when it had nothing queued.
+func (s *Server) enqueueLocked(j *job) {
+	client := j.client()
+	if len(s.queue[client]) == 0 {
+		s.clients = append(s.clients, client)
+	}
+	s.queue[client] = append(s.queue[client], j)
+	s.queuedN++
+}
+
 // removeQueuedLocked unlinks a queued job from its client's FIFO,
 // maintaining the round-robin cursor. Reports whether the job was found.
 func (s *Server) removeQueuedLocked(target *job) bool {
-	client := target.spec.Client
-	if client == "" {
-		client = "anonymous"
-	}
+	client := target.client()
 	q := s.queue[client]
 	for i, j := range q {
 		if j != target {

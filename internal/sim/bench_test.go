@@ -64,6 +64,27 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineTypedScheduleRun is the same workload on the closure-free
+// fast path — AfterEvent + Step — that the per-cycle callers use. It must
+// stay at 0 allocs/op. One untimed push+pop first grows the heap's backing
+// array past the steady depth, so even -benchtime 1x reports no allocs.
+func BenchmarkEngineTypedScheduleRun(b *testing.B) {
+	e := NewEngine()
+	r := lcg(1)
+	nop := func(any) {}
+	for i := 0; i < 1024; i++ {
+		e.AfterEvent(benchSpread(&r), nop, nil)
+	}
+	e.AfterEvent(benchSpread(&r), nop, nil)
+	e.Step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterEvent(benchSpread(&r), nop, nil)
+		e.Step()
+	}
+}
+
 // BenchmarkEngineHeap measures push+pop on the specialized heap alone at a
 // steady depth of 1024.
 func BenchmarkEngineHeap(b *testing.B) {
